@@ -1,4 +1,4 @@
-//! Differential fuzzer for the solver engines.
+//! Differential fuzzer for the solver.
 //!
 //! ```text
 //! cargo run --release -p ctxform-bench --bin fuzz_diff -- \
@@ -7,32 +7,39 @@
 //!
 //! Each iteration draws a seeded `ctxform_synth` program and sweeps the
 //! shared differential matrix ([`ctxform_testutil::incremental_configs`]:
-//! {cstring, tstring} × {1-call, 1-object}) × {1, 4} threads ×
-//! {rounds, summary-scc}, holding every cell to the serial round-based
-//! solve of the same program:
+//! {cstring, tstring} × {1-call, 1-object}) × {1, 4} threads, holding
+//! every cell to single-threaded from-scratch solves:
 //!
 //! 1. **Digest parity** — `AnalysisDb::fact_digest` (rendered, sorted,
-//!    context-sensitive facts) must be bit-identical.
-//! 2. **Pts-set equality** — the context-insensitive projections must
-//!    match set-for-set.
-//! 3. **Extend-after-fuzz parity** — one seeded additive edit is applied
-//!    through `AnalysisDb::extend` in every cell and the digest is held
-//!    to the serial from-scratch solve of the edited revision.
+//!    context-sensitive facts) must be bit-identical to the 1-thread
+//!    solve's.
+//! 2. **CI equality** — the context-insensitive projections must match
+//!    set-for-set.
+//! 3. **Extend vs scratch** — one seeded additive edit is applied
+//!    through `AnalysisDb::extend` and the digest is held to a
+//!    from-scratch solve of the edited revision.
+//! 4. **Retract vs scratch** — one seeded single-tuple retraction
+//!    (`ctxform_synth::retract_edit_script`) of the edited revision is
+//!    applied through the DRed path of `AnalysisDb::extend` and the
+//!    digest is held to a from-scratch solve of the retracted revision.
+//!
+//! Once per seed and thread count, the insensitive solve's CI facts are
+//! also held to [`ctxform::datalog_baseline`], the same rules run on the
+//! generic Datalog engine — an oracle outside the solver's rule drivers.
 //!
 //! On the first violated property the harness writes a reproducer to
-//! `ctxform-fuzz-repro/1` — a JSON object with the seed, iteration,
-//! config, thread count, solve mode, both digests, and the generator
-//! inputs needed to replay (`fuzz_diff --iters 1 --seed <seed>`) — and
-//! exits nonzero. CI uploads that file as an artifact on failure.
+//! `ctxform-fuzz-repro/2` — a JSON object with the seed, iteration,
+//! config, thread count, both digests, and the generator inputs needed
+//! to replay (`fuzz_diff --iters 1 --seed <seed>`) — and exits nonzero.
+//! CI uploads that file as an artifact on failure.
 
-use ctxform::{AnalysisConfig, AnalysisDb, SolveMode};
+use ctxform::{analyze, datalog_baseline, AnalysisConfig, AnalysisDb, AnalysisResult};
 use ctxform_minijava::compile;
 use ctxform_obs::logger;
+use ctxform_server::db::ci_digest;
 use ctxform_server::json::{hex16, Json};
-use ctxform_synth::{edit_script, random_program};
+use ctxform_synth::{edit_script, random_program, retract_edit_script};
 use ctxform_testutil::{incremental_configs, PARITY_THREADS};
-
-const MODES: [SolveMode; 2] = [SolveMode::Rounds, SolveMode::SummaryScc];
 
 /// One differential violation, with everything needed to replay it.
 struct Violation {
@@ -40,7 +47,6 @@ struct Violation {
     iter: usize,
     config: AnalysisConfig,
     threads: usize,
-    mode: SolveMode,
     property: &'static str,
     expected: u64,
     actual: u64,
@@ -49,13 +55,12 @@ struct Violation {
 impl Violation {
     fn to_json(&self, iters: usize) -> Json {
         Json::obj([
-            ("schema", Json::str("ctxform-fuzz-repro/1")),
+            ("schema", Json::str("ctxform-fuzz-repro/2")),
             ("seed", Json::uint(self.seed)),
             ("iter", Json::int(self.iter)),
             ("iters", Json::int(iters)),
             ("config", Json::Str(self.config.to_string())),
             ("threads", Json::int(self.threads)),
-            ("solve_mode", Json::Str(self.mode.to_string())),
             ("property", Json::str(self.property)),
             ("expected_digest", Json::Str(hex16(self.expected))),
             ("actual_digest", Json::Str(hex16(self.actual))),
@@ -75,10 +80,9 @@ impl Violation {
 /// violation, if any.
 fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
     let source = random_program(seed, 1);
-    // One edited revision for the extend-after-fuzz property (revision 0
-    // is the base itself).
-    let revisions = edit_script(&source, seed, 1);
-    let programs: Vec<_> = revisions
+    // Revision 0 is the base itself, revision 1 one additive edit of it,
+    // revision 2 one single-tuple retraction of revision 1.
+    let mut programs: Vec<_> = edit_script(&source, seed, 1)
         .iter()
         .map(|src| {
             compile(src)
@@ -86,59 +90,83 @@ fn check_seed(seed: u64, iter: usize) -> Option<Violation> {
                 .program
         })
         .collect();
+    let retracted = retract_edit_script(&programs[1], seed, 1, 0).pop();
+    programs.push(retracted.expect("one retraction step"));
+
+    let violation = |config, threads, property, expected, actual| Violation {
+        seed,
+        iter,
+        config,
+        threads,
+        property,
+        expected,
+        actual,
+    };
+
+    // The generic Datalog engine is the oracle for the insensitive solve.
+    let insensitive = AnalysisConfig::insensitive();
+    let engine_ci = datalog_baseline(&programs[0]);
+    for &threads in &PARITY_THREADS {
+        let solved = analyze(&programs[0], &insensitive.with_threads(threads));
+        if solved.ci != engine_ci {
+            let engine = AnalysisResult {
+                ci: engine_ci,
+                ..solved.clone()
+            };
+            return Some(violation(
+                insensitive,
+                threads,
+                "insensitive ci equals datalog_baseline",
+                ci_digest(&engine),
+                ci_digest(&solved),
+            ));
+        }
+    }
 
     for base in incremental_configs() {
-        // The serial round-based solve is the oracle for every cell;
-        // digests are independent of thread count and engine.
-        let oracle = AnalysisDb::solve(programs[0].clone(), &base.with_threads(1));
-        let oracle_edit_digest =
-            AnalysisDb::solve(programs[1].clone(), &base.with_threads(1)).fact_digest();
-        for mode in MODES {
-            for &threads in &PARITY_THREADS {
-                let cfg = base.with_solve_mode(mode).with_threads(threads);
-                let mut db = AnalysisDb::solve(programs[0].clone(), &cfg);
-                if db.fact_digest() != oracle.fact_digest() {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
-                        threads,
-                        mode,
-                        property: "fact_digest parity",
-                        expected: oracle.fact_digest(),
-                        actual: db.fact_digest(),
-                    });
-                }
-                if db.result().ci != oracle.result().ci {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
-                        threads,
-                        mode,
-                        property: "ci pts-set equality",
-                        expected: oracle.fact_digest(),
-                        actual: db.fact_digest(),
-                    });
-                }
-                let outcome = db.extend(programs[1].clone());
+        // Single-threaded from-scratch solves are the oracles for every
+        // cell; digests are independent of thread count.
+        let scratch: Vec<AnalysisDb> = programs
+            .iter()
+            .map(|p| AnalysisDb::solve(p.clone(), &base.with_threads(1)))
+            .collect();
+        for &threads in &PARITY_THREADS {
+            let cfg = base.with_threads(threads);
+            let mut db = AnalysisDb::solve(programs[0].clone(), &cfg);
+            if db.fact_digest() != scratch[0].fact_digest() {
+                return Some(violation(
+                    base,
+                    threads,
+                    "fact_digest parity",
+                    scratch[0].fact_digest(),
+                    db.fact_digest(),
+                ));
+            }
+            if db.result().ci != scratch[0].result().ci {
+                return Some(violation(
+                    base,
+                    threads,
+                    "ci pts-set equality",
+                    ci_digest(scratch[0].result()),
+                    ci_digest(db.result()),
+                ));
+            }
+            for (rev, property) in [(1, "extend vs scratch"), (2, "retract vs scratch")] {
+                let outcome = db.extend(programs[rev].clone());
                 if !outcome.is_incremental() {
                     panic!(
-                        "seed {seed} {base} threads={threads} mode={mode}: \
-                         additive fuzz edit did not extend incrementally: {outcome:?}"
+                        "seed {seed} {base} threads={threads}: {property} edit did not \
+                         update incrementally: {outcome:?}"
                     );
                 }
-                if db.fact_digest() != oracle_edit_digest {
-                    return Some(Violation {
-                        seed,
-                        iter,
-                        config: base,
+                if db.fact_digest() != scratch[rev].fact_digest() {
+                    return Some(violation(
+                        base,
                         threads,
-                        mode,
-                        property: "extend-after-fuzz parity",
-                        expected: oracle_edit_digest,
-                        actual: db.fact_digest(),
-                    });
+                        property,
+                        scratch[rev].fact_digest(),
+                        db.fact_digest(),
+                    ));
                 }
             }
         }
@@ -186,11 +214,10 @@ fn main() {
             logger::error(
                 "fuzz_diff",
                 format!(
-                    "seed {seed} ({}, threads={}, mode={}) violated {}: \
+                    "seed {seed} ({}, threads={}) violated {}: \
                      expected {} got {}; reproducer written to {path}",
                     v.config,
                     v.threads,
-                    v.mode,
                     v.property,
                     hex16(v.expected),
                     hex16(v.actual)
@@ -205,10 +232,9 @@ fn main() {
     logger::info(
         "fuzz_diff",
         format!(
-            "all {iters} seeds clean across {} configs x {:?} threads x {:?}",
+            "all {iters} seeds clean across {} configs x {:?} threads",
             incremental_configs().len(),
             PARITY_THREADS,
-            MODES.map(|m| m.to_string()),
         ),
     );
 }

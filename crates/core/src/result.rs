@@ -51,12 +51,10 @@ impl RuleCounts {
         })
     }
 
-    /// Add one to `rule`'s counter.
+    /// Add one to the counter of rule `idx` (a [`rule`] constant).
     #[inline]
-    pub fn bump(&mut self, rule: &str) {
-        if let Some(i) = Self::index_of(rule) {
-            self.0[i] += 1;
-        }
+    pub fn bump(&mut self, idx: usize) {
+        self.0[idx] += 1;
     }
 
     /// Current count for `rule` (0 for unknown names).
@@ -207,17 +205,16 @@ impl RuleTimes {
 /// Aggregate solver phase timings (nanoseconds), populated when
 /// [`AnalysisConfig::profile`] is set.
 ///
-/// On the single-threaded path `eval_ns` covers the whole delta loop and
-/// `merge_ns` stays 0 (there is no separate merge). Under the parallel
-/// engine `eval_ns` is the summed wall time of the chunked evaluation
-/// phases and `merge_ns` the summed sequential merges.
+/// `eval_ns` is the summed wall time of the rounds' chunked evaluation
+/// phases and `merge_ns` the summed sequential merges, at every thread
+/// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     /// Seeding (`Entry` rule + initial fact loading).
     pub seed_ns: u64,
-    /// Rule evaluation (delta loop / parallel chunk evaluation).
+    /// Rule evaluation (chunked, read-only).
     pub eval_ns: u64,
-    /// Sequential candidate-merge phases (parallel engine only).
+    /// Sequential candidate-merge phases.
     pub merge_ns: u64,
 }
 
@@ -228,7 +225,7 @@ impl PhaseProfile {
     }
 }
 
-/// Per-frontier-round timing under the parallel engine.
+/// Per-round timing of the round engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundProfile {
     /// Round number (1-based, matching the `solver.round` trace span).
@@ -319,12 +316,6 @@ impl MemoryFootprint {
     }
 }
 
-/// Upper bounds (inclusive) of the SCC-size histogram recorded in
-/// [`SolverStats::scc_sizes`] and exported as the
-/// `ctxform_solver_scc_sizes_total` Prometheus series; an implicit
-/// overflow (+Inf) bucket follows.
-pub const SCC_SIZE_BOUNDS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
-
 /// Solver statistics, mirroring the quantities Figure 6 reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolverStats {
@@ -367,8 +358,8 @@ pub struct SolverStats {
     /// Per-rule novel derivations (the candidate was new — not a
     /// duplicate, not subsumed — and was admitted).
     pub rule_derived: RuleCounts,
-    /// Entries resident in the compose memo table when the run finished
-    /// (the merge-phase table under the parallel engine).
+    /// Entries resident in the persistent compose memo table when the run
+    /// finished (worker 0's shard plus the merge phase's entries).
     pub compose_memo_entries: usize,
     /// Entries resident in the subsumption memo table when the run
     /// finished.
@@ -376,33 +367,17 @@ pub struct SolverStats {
     /// Distinct context strings interned by the end of the run
     /// (including ε).
     pub interned_contexts: usize,
-    /// Worker threads the solve actually ran with (1 = legacy path).
+    /// Worker threads the solve actually ran with (1 = inline on the
+    /// calling thread).
     pub threads_used: usize,
-    /// Frontier rounds executed by the parallel engine (0 on the legacy
-    /// path, which has no round structure).
+    /// Rounds executed by the round engine (at least one per fixpoint
+    /// with pending deltas, at every thread count).
     pub par_rounds: usize,
     /// Largest frontier (deltas drained into one round).
     pub par_frontier_peak: usize,
     /// Candidate derivations deferred from workers to the sequential
     /// merge phase because they needed to intern a new context string.
     pub par_deferred: u64,
-    /// Call-graph SCCs in the condensation (summary mode only; 0 under
-    /// [`crate::SolveMode::Rounds`]).
-    pub scc_count: usize,
-    /// Methods in the largest SCC (summary mode only).
-    pub scc_max_size: usize,
-    /// Histogram of SCC sizes over [`SCC_SIZE_BOUNDS`] (non-cumulative;
-    /// the trailing entry counts components larger than the last bound).
-    pub scc_sizes: [u64; SCC_SIZE_BOUNDS.len() + 1],
-    /// Bottom-up waves executed by the SCC scheduler (the summary-mode
-    /// analogue of `par_rounds`).
-    pub scc_waves: usize,
-    /// Method-summary rows synthesized from return-variable `pts` facts
-    /// (summary mode only).
-    pub summaries_synthesized: u64,
-    /// Caller-side `Ret` joins answered from the summary index instead
-    /// of re-scanning the callee's return variables (summary mode only).
-    pub summaries_applied: u64,
     /// Derived facts transitively retracted by the over-delete phase of a
     /// DRed update (0 outside retraction runs).
     pub overdeleted: u64,
@@ -422,8 +397,8 @@ pub struct SolverStats {
     pub rule_time: RuleTimes,
     /// Aggregate seed/eval/merge phase timings (profiling only).
     pub phase_profile: PhaseProfile,
-    /// Per-round eval/merge timings under the parallel engine, capped at
-    /// [`MAX_ROUND_PROFILES`] entries (profiling only).
+    /// Per-round eval/merge timings, capped at [`MAX_ROUND_PROFILES`]
+    /// entries (profiling only).
     pub round_profiles: Vec<RoundProfile>,
     /// Estimated resident bytes of relations, join indices, and memo
     /// tables at the end of the run (always populated).
@@ -434,15 +409,6 @@ impl SolverStats {
     /// `pts + hpts + call`, the paper's "Total" row.
     pub fn total(&self) -> usize {
         self.pts + self.hpts + self.call
-    }
-
-    /// Records one SCC's method count into the size histogram.
-    pub fn observe_scc_size(&mut self, size: usize) {
-        let slot = SCC_SIZE_BOUNDS
-            .iter()
-            .position(|&bound| size <= bound)
-            .unwrap_or(SCC_SIZE_BOUNDS.len());
-        self.scc_sizes[slot] += 1;
     }
 
     /// Zeroes every per-run *work* counter while keeping the database
@@ -465,12 +431,6 @@ impl SolverStats {
         self.par_rounds = 0;
         self.par_frontier_peak = 0;
         self.par_deferred = 0;
-        self.scc_count = 0;
-        self.scc_max_size = 0;
-        self.scc_sizes = Default::default();
-        self.scc_waves = 0;
-        self.summaries_synthesized = 0;
-        self.summaries_applied = 0;
         self.overdeleted = 0;
         self.rederived = 0;
         self.duration = Duration::default();
@@ -530,17 +490,6 @@ impl SolverStats {
             out.push_str(&format!(
                 "  parallelism:      {} threads, {} rounds, peak frontier {}, {} deferred\n",
                 self.threads_used, self.par_rounds, self.par_frontier_peak, self.par_deferred
-            ));
-        }
-        if self.scc_waves > 0 {
-            out.push_str(&format!(
-                "  scc schedule:     {} components (max size {}), {} waves, \
-                 {} summaries synthesized / {} applied\n",
-                self.scc_count,
-                self.scc_max_size,
-                self.scc_waves,
-                self.summaries_synthesized,
-                self.summaries_applied
             ));
         }
         if self.profiled && self.rule_time.total_ns() > 0 {

@@ -6,24 +6,19 @@
 //! [`Abstraction`] interface, with one delta queue per derived relation
 //! and boundary-indexed join buckets (see [`crate::bucket`]).
 //!
-//! Every derived fact is processed exactly once as a "delta": when it is
-//! popped, all rules it can drive are evaluated against the current
-//! indices (which already contain every earlier fact, including itself),
-//! and both orientations of every two-derived-literal join are
-//! implemented, so the evaluation is equivalent to semi-naive iteration to
-//! fixpoint.
+//! Every derived fact is processed exactly once as a "delta": the round
+//! engine in [`frontier`] drains the queues, evaluates the rule drivers
+//! for each delta against the current indices (which already contain
+//! every earlier fact, including the delta itself), and merges the
+//! consequences back through the `insert_*` methods. Both orientations
+//! of every two-derived-literal join are implemented, so the evaluation
+//! is equivalent to semi-naive iteration to fixpoint.
 //!
-//! # Hot-path layout
+//! This file owns the state and the merge side: seeding (fresh solve,
+//! additive extension, DRed retraction), insertion (dedup, subsumption,
+//! demand gating, retract marking, indexing, logging), memoized
+//! `compose`, and result assembly.
 //!
-//! The rule drivers are written to stay allocation-free at steady state:
-//!
-//! * The static [`ProgramIndex`] is held *by reference* (`ix: &'p
-//!   ProgramIndex`), so rule drivers copy the reference out of `self` and
-//!   iterate the index vectors directly while calling `&mut self`
-//!   insertion methods — no per-delta `.cloned()` of index vectors.
-//! * Join-candidate collection writes into reusable scratch buffers that
-//!   are `mem::take`n out of the solver around each rule loop (the borrow
-//!   checker then sees them as locals disjoint from `self`).
 //! * `compose` and `subsumes` are memoized over the copyable interned
 //!   handles (sound because the interner is append-only, making both pure
 //!   functions of their arguments). `invert` is *not* memoized: for every
@@ -32,12 +27,11 @@
 //!   small trusted `Copy` tuples, the exact case Fx is built for.
 
 mod frontier;
-mod summary;
 
 use std::mem;
 use std::time::Instant;
 
-use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Levels, Limits, MergeSite};
+use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Levels, Limits};
 use ctxform_hash::{fx_map_with_capacity, FxHashMap, FxHashSet};
 use ctxform_ir::{
     Facts, Field, Heap, Inv, MSig, Method, Program, ProgramDelta, ProgramIndex, ProgramRetraction,
@@ -45,8 +39,10 @@ use ctxform_ir::{
 };
 
 use crate::bucket::Bucket;
-use crate::config::{AnalysisConfig, SolveMode};
-use crate::result::{rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats};
+use crate::config::AnalysisConfig;
+use crate::result::{
+    rule, AnalysisResult, CiFacts, LoggedFact, MemoryFootprint, SolverStats, RULE_NAMES,
+};
 
 /// Fixed per-slot estimate for hash-container overhead (control bytes
 /// plus load-factor slack) in the [`MemoryFootprint`] byte accounting.
@@ -56,10 +52,9 @@ const HASH_SLOT_OVERHEAD: usize = 8;
 
 /// Runs the analysis with the given abstraction instance.
 ///
-/// `config.threads` picks the engine: `1` (or an auto resolution of 1)
-/// runs the legacy one-delta-at-a-time loop; more threads run the
-/// round-based frontier-parallel engine in [`frontier`]. Both produce the
-/// identical fact sets, so the choice is purely a wall-clock one.
+/// `config.threads` sets how many workers the round engine in
+/// [`frontier`] evaluates with; the fact sets are identical at every
+/// thread count, so the choice is purely a wall-clock one.
 pub(crate) fn run<A: Abstraction>(
     program: &Program,
     abs: A,
@@ -115,7 +110,7 @@ pub(crate) fn solve_state<A: Abstraction>(
     solver.seed_entry();
     solver.prof_rule(t, rule::ENTRY);
     solver.prof_seed(t);
-    solver.run_to_fixpoint(threads);
+    solver.fixpoint(threads);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
     span.record("events", result.stats.events);
@@ -153,7 +148,7 @@ pub(crate) fn extend_state<A: Abstraction>(
     let t = solver.prof_start();
     solver.reseed_for_delta(&delta.added, &delta.added_entry_points);
     solver.prof_seed(t);
-    solver.run_to_fixpoint(threads);
+    solver.fixpoint(threads);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
     span.record("events", result.stats.events);
@@ -203,13 +198,19 @@ pub(crate) fn retract_state<A: Abstraction>(
     solver.stats.profiled = config.profile;
     solver.retract = Some(Box::new(RetractSink::new()));
     solver.seed_overdelete(base, retraction);
-    solver.overdelete_fixpoint();
+    // With the sink installed, the round engine closes the marking
+    // transitively: it drains the sink's worklists and every computed
+    // consequence is *marked* (if currently derived) instead of inserted.
+    // Join partners come from the intact full indices, so every one-step
+    // consequence of a marked fact is found, which over-approximates the
+    // set of facts whose derivations ran through a removed input.
+    solver.fixpoint(threads);
     let sink = solver.apply_deletions();
     let t = solver.prof_start();
     solver.reseed_after_deletion(&sink);
     solver.reseed_for_delta(&retraction.added, &retraction.added_entry_points);
     solver.prof_seed(t);
-    solver.run_to_fixpoint(threads);
+    solver.fixpoint(threads);
     solver.stats.rederived = solver.count_rederived(&sink);
     let result = solver.finish(start);
     span.record("facts_total", result.stats.total());
@@ -230,12 +231,7 @@ struct RetractSink<X> {
     call: FxHashSet<(Inv, Method, X)>,
     spts: FxHashSet<(Field, Heap, X)>,
     reach: FxHashSet<(Method, CtxtStr)>,
-    q_pts: Vec<(Var, Heap, X)>,
-    q_hpts: Vec<(Heap, Field, Heap, X)>,
-    q_hload: Vec<(Heap, Field, Var, X)>,
-    q_call: Vec<(Inv, Method, X)>,
-    q_spts: Vec<(Field, Heap, X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
+    queues: Queues<X>,
 }
 
 impl<X> RetractSink<X> {
@@ -247,12 +243,7 @@ impl<X> RetractSink<X> {
             call: FxHashSet::default(),
             spts: FxHashSet::default(),
             reach: FxHashSet::default(),
-            q_pts: Vec::new(),
-            q_hpts: Vec::new(),
-            q_hload: Vec::new(),
-            q_call: Vec::new(),
-            q_spts: Vec::new(),
-            q_reach: Vec::new(),
+            queues: Queues::default(),
         }
     }
 
@@ -264,6 +255,42 @@ impl<X> RetractSink<X> {
             + self.call.len()
             + self.spts.len()
             + self.reach.len()
+    }
+}
+
+/// One pending-delta worklist per derived relation.
+#[derive(Clone)]
+struct Queues<X> {
+    pts: Vec<(Var, Heap, X)>,
+    hpts: Vec<(Heap, Field, Heap, X)>,
+    hload: Vec<(Heap, Field, Var, X)>,
+    call: Vec<(Inv, Method, X)>,
+    spts: Vec<(Field, Heap, X)>,
+    reach: Vec<(Method, CtxtStr)>,
+}
+
+impl<X> Default for Queues<X> {
+    fn default() -> Self {
+        Queues {
+            pts: Vec::new(),
+            hpts: Vec::new(),
+            hload: Vec::new(),
+            call: Vec::new(),
+            spts: Vec::new(),
+            reach: Vec::new(),
+        }
+    }
+}
+
+impl<X> Queues<X> {
+    /// Deltas queued across all six relations.
+    fn len(&self) -> usize {
+        self.reach.len()
+            + self.pts.len()
+            + self.call.len()
+            + self.hpts.len()
+            + self.hload.len()
+            + self.spts.len()
     }
 }
 
@@ -304,23 +331,11 @@ pub(crate) struct SolverState<A: Abstraction> {
     call_by_method: BucketMap<Method, (Inv, A::X)>,
     reach: FxHashSet<(Method, CtxtStr)>,
     reach_by_method: FxHashMap<Method, Vec<CtxtStr>>,
-    q_pts: Vec<(Var, Heap, A::X)>,
-    q_hpts: Vec<(Heap, Field, Heap, A::X)>,
-    q_hload: Vec<(Heap, Field, Var, A::X)>,
-    q_call: Vec<(Inv, Method, A::X)>,
-    q_spts: Vec<(Field, Heap, A::X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
+    queues: Queues<A::X>,
     live_pts: FxHashMap<(Var, Heap), Vec<A::X>>,
     dead_pts: FxHashSet<(Var, Heap, A::X)>,
-    summary_by_method: BucketMap<Method, (Heap, A::X)>,
-    summary_seen: FxHashSet<(Method, Heap, A::X)>,
     compose_memo: ComposeMemo<A::X>,
     subsume_memo: FxHashMap<(A::X, A::X), bool>,
-    scratch_heap: Vec<(Heap, A::X)>,
-    scratch_method: Vec<(Method, A::X)>,
-    scratch_inv: Vec<(Inv, A::X)>,
-    scratch_var: Vec<(Var, A::X)>,
-    scratch_ctxts: Vec<CtxtStr>,
     stats: SolverStats,
     log: Vec<LoggedFact>,
     /// Optional demand gate: when set, every insertion is dropped unless
@@ -355,23 +370,11 @@ impl<A: Abstraction> SolverState<A> {
             call_by_method: fx_map_with_capacity(program.method_count()),
             reach: FxHashSet::default(),
             reach_by_method: fx_map_with_capacity(program.method_count()),
-            q_pts: Vec::new(),
-            q_hpts: Vec::new(),
-            q_hload: Vec::new(),
-            q_call: Vec::new(),
-            q_spts: Vec::new(),
-            q_reach: Vec::new(),
+            queues: Queues::default(),
             live_pts: FxHashMap::default(),
             dead_pts: FxHashSet::default(),
-            summary_by_method: FxHashMap::default(),
-            summary_seen: FxHashSet::default(),
             compose_memo: FxHashMap::default(),
             subsume_memo: FxHashMap::default(),
-            scratch_heap: Vec::new(),
-            scratch_method: Vec::new(),
-            scratch_inv: Vec::new(),
-            scratch_var: Vec::new(),
-            scratch_ctxts: Vec::new(),
             stats: SolverStats::default(),
             log: Vec::new(),
             gate: None,
@@ -501,43 +504,16 @@ struct Solver<'p, A: Abstraction> {
     reach: FxHashSet<(Method, CtxtStr)>,
     reach_by_method: FxHashMap<Method, Vec<CtxtStr>>,
 
-    q_pts: Vec<(Var, Heap, A::X)>,
-    q_hpts: Vec<(Heap, Field, Heap, A::X)>,
-    q_hload: Vec<(Heap, Field, Var, A::X)>,
-    q_call: Vec<(Inv, Method, A::X)>,
-    q_spts: Vec<(Field, Heap, A::X)>,
-    q_reach: Vec<(Method, CtxtStr)>,
+    queues: Queues<A::X>,
 
     /// Live (unsubsumed) transformations per (var, heap) key; maintained
     /// only when subsumption elimination is on.
     live_pts: FxHashMap<(Var, Heap), Vec<A::X>>,
     dead_pts: FxHashSet<(Var, Heap, A::X)>,
 
-    /// Method summaries (summary mode only): every `pts(Z, H, B)` row on
-    /// a return variable `Z` of `P`, merged into one bucket per `P` and
-    /// boundary-indexed on the destination side — exactly the filter the
-    /// caller-side Ret join needs. Synthesized incrementally in
-    /// [`Solver::insert_pts`]; maintained as a second *join index* over
-    /// existing rows, never a source of new facts, so the least model is
-    /// untouched.
-    summary_by_method: BucketMap<Method, (Heap, A::X)>,
-    /// Dedup for `summary_by_method`: a variable can be the return of
-    /// several methods and a method can have several return variables
-    /// carrying the same `(H, B)` row.
-    summary_seen: FxHashSet<(Method, Heap, A::X)>,
-
     compose_memo: ComposeMemo<A::X>,
     /// Memo table for `subsumes(a, b)`.
     subsume_memo: FxHashMap<(A::X, A::X), bool>,
-
-    // Reusable join-candidate buffers, one per tuple shape. They are
-    // `mem::take`n around each rule loop and restored afterwards, so the
-    // solver performs no per-probe allocation at steady state.
-    scratch_heap: Vec<(Heap, A::X)>,
-    scratch_method: Vec<(Method, A::X)>,
-    scratch_inv: Vec<(Inv, A::X)>,
-    scratch_var: Vec<(Var, A::X)>,
-    scratch_ctxts: Vec<CtxtStr>,
 
     stats: SolverStats,
     log: Vec<LoggedFact>,
@@ -574,23 +550,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             call_by_method: st.call_by_method,
             reach: st.reach,
             reach_by_method: st.reach_by_method,
-            q_pts: st.q_pts,
-            q_hpts: st.q_hpts,
-            q_hload: st.q_hload,
-            q_call: st.q_call,
-            q_spts: st.q_spts,
-            q_reach: st.q_reach,
+            queues: st.queues,
             live_pts: st.live_pts,
             dead_pts: st.dead_pts,
-            summary_by_method: st.summary_by_method,
-            summary_seen: st.summary_seen,
             compose_memo: st.compose_memo,
             subsume_memo: st.subsume_memo,
-            scratch_heap: st.scratch_heap,
-            scratch_method: st.scratch_method,
-            scratch_inv: st.scratch_inv,
-            scratch_var: st.scratch_var,
-            scratch_ctxts: st.scratch_ctxts,
             stats: st.stats,
             log: st.log,
             gate: st.gate,
@@ -618,33 +582,15 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             call_by_method: self.call_by_method,
             reach: self.reach,
             reach_by_method: self.reach_by_method,
-            q_pts: self.q_pts,
-            q_hpts: self.q_hpts,
-            q_hload: self.q_hload,
-            q_call: self.q_call,
-            q_spts: self.q_spts,
-            q_reach: self.q_reach,
+            queues: self.queues,
             live_pts: self.live_pts,
             dead_pts: self.dead_pts,
-            summary_by_method: self.summary_by_method,
-            summary_seen: self.summary_seen,
             compose_memo: self.compose_memo,
             subsume_memo: self.subsume_memo,
-            scratch_heap: self.scratch_heap,
-            scratch_method: self.scratch_method,
-            scratch_inv: self.scratch_inv,
-            scratch_var: self.scratch_var,
-            scratch_ctxts: self.scratch_ctxts,
             stats: self.stats,
             log: self.log,
             gate: self.gate,
         }
-    }
-
-    /// `true` iff this run maintains and applies method summaries
-    /// (i.e. the *effective* solve mode is [`SolveMode::SummaryScc`]).
-    fn summary_mode(&self) -> bool {
-        matches!(self.config.effective_solve_mode().0, SolveMode::SummaryScc)
     }
 
     fn limits_store(&self) -> Limits {
@@ -669,7 +615,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         };
         let program = self.program;
         for &main in &program.entry_points {
-            self.insert_reach(main, entry_ctx, "Entry");
+            self.insert_reach(main, entry_ctx, rule::ENTRY);
         }
     }
 
@@ -690,7 +636,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             interner.from_slice(&[CtxtElem::entry()])
         };
         for &main in added_entry_points {
-            self.insert_reach(main, entry_ctx, "Entry");
+            self.insert_reach(main, entry_ctx, rule::ENTRY);
         }
         let program = self.program;
 
@@ -765,7 +711,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             })
             .collect();
         reseed_pts.sort_unstable();
-        self.q_pts.extend(reseed_pts);
+        self.queues.pts.extend(reseed_pts);
 
         let mut reseed_reach: Vec<(Method, CtxtStr)> = self
             .reach
@@ -774,7 +720,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|(p, _)| methods.contains(p))
             .collect();
         reseed_reach.sort_unstable();
-        self.q_reach.extend(reseed_reach);
+        self.queues.reach.extend(reseed_reach);
 
         let mut reseed_call: Vec<(Inv, Method, A::X)> = self
             .call
@@ -783,7 +729,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|&(i, q, _)| call_methods.contains(&q) || call_invs.contains(&i))
             .collect();
         reseed_call.sort_unstable();
-        self.q_call.extend(reseed_call);
+        self.queues.call.extend(reseed_call);
     }
 
     // ------------------------------------------------------------------
@@ -946,67 +892,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         }
     }
 
-    /// Closes the deletion marking transitively: pops marked facts and
-    /// runs the ordinary rule drivers over them — with the sink
-    /// installed, every computed consequence is *marked* (if currently
-    /// derived) instead of inserted. Join partners come from the intact
-    /// full indices, so every one-step consequence of a marked fact is
-    /// found, which over-approximates the set of facts whose derivations
-    /// ran through a removed input.
-    fn overdelete_fixpoint(&mut self) {
-        loop {
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((p, m)) = sink.q_reach.pop() {
-                self.stats.events += 1;
-                self.process_reach(p, m);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((y, h, x)) = sink.q_pts.pop() {
-                self.stats.events += 1;
-                self.process_pts(y, h, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((i, q, x)) = sink.q_call.pop() {
-                self.stats.events += 1;
-                self.process_call(i, q, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((g, f, h, x)) = sink.q_hpts.pop() {
-                self.stats.events += 1;
-                self.process_hpts(g, f, h, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((g, f, y, x)) = sink.q_hload.pop() {
-                self.stats.events += 1;
-                self.process_hload(g, f, y, x);
-                continue;
-            }
-            let Some(sink) = self.retract.as_mut() else {
-                return;
-            };
-            if let Some((f, h, x)) = sink.q_spts.pop() {
-                self.stats.events += 1;
-                self.process_spts(f, h, x);
-                continue;
-            }
-            break;
-        }
-    }
-
     /// Phase 2: physically removes every marked fact, records the
     /// over-delete count, rebuilds all join indices from the sorted
     /// survivors, and uninstalls the sink (returning it for the
@@ -1036,9 +921,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
         let mode = self.mode;
 
         self.pts_by_var.clear();
-        self.summary_by_method.clear();
-        self.summary_seen.clear();
-        let summary = self.summary_mode();
         let mut pts: Vec<(Var, Heap, A::X)> = self.pts.iter().copied().collect();
         pts.sort_unstable();
         for (y, h, x) in pts {
@@ -1047,19 +929,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 .entry(y)
                 .or_insert_with(|| Bucket::new(strategy, mode))
                 .insert(boundary, (h, x), self.abs.interner());
-            if summary {
-                let ix = self.ix;
-                if let Some(methods) = ix.returns_by_var.get(&y) {
-                    for &p in methods {
-                        if self.summary_seen.insert((p, h, x)) {
-                            self.summary_by_method
-                                .entry(p)
-                                .or_insert_with(|| Bucket::new(strategy, mode))
-                                .insert(boundary, (h, x), self.abs.interner());
-                        }
-                    }
-                }
-            }
         }
 
         self.hpts_by_gf.clear();
@@ -1237,7 +1106,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             for idx in 0..self.program.entry_points.len() {
                 let p = self.program.entry_points[idx];
                 if sink.reach.contains(&(p, entry_ctx)) {
-                    self.insert_reach(p, entry_ctx, "Entry");
+                    self.insert_reach(p, entry_ctx, rule::ENTRY);
                 }
             }
         }
@@ -1249,7 +1118,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|&(y, _, _)| vars.contains(&y))
             .collect();
         rq_pts.sort_unstable();
-        self.q_pts.extend(rq_pts);
+        self.queues.pts.extend(rq_pts);
 
         let mut rq_reach: Vec<(Method, CtxtStr)> = self
             .reach
@@ -1258,7 +1127,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|(p, _)| reach_methods.contains(p))
             .collect();
         rq_reach.sort_unstable();
-        self.q_reach.extend(rq_reach);
+        self.queues.reach.extend(rq_reach);
 
         let mut rq_call: Vec<(Inv, Method, A::X)> = self
             .call
@@ -1269,7 +1138,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             })
             .collect();
         rq_call.sort_unstable();
-        self.q_call.extend(rq_call);
+        self.queues.call.extend(rq_call);
 
         let mut rq_hload: Vec<(Heap, Field, Var, A::X)> = self
             .hload
@@ -1278,7 +1147,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|(_, _, y, _)| d_vars.contains(y))
             .collect();
         rq_hload.sort_unstable();
-        self.q_hload.extend(rq_hload);
+        self.queues.hload.extend(rq_hload);
 
         let mut rq_spts: Vec<(Field, Heap, A::X)> = self
             .spts
@@ -1287,7 +1156,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .filter(|(f, _, _)| spts_fields.contains(f))
             .collect();
         rq_spts.sort_unstable();
-        self.q_spts.extend(rq_spts);
+        self.queues.spts.extend(rq_spts);
     }
 
     /// How many over-deleted facts the re-derive phase restored.
@@ -1318,7 +1187,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.pts.contains(&(y, h, x)) && sink.pts.insert((y, h, x)) {
-            sink.q_pts.push((y, h, x));
+            sink.queues.pts.push((y, h, x));
         }
     }
 
@@ -1327,7 +1196,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.hpts.contains(&(g, f, h, x)) && sink.hpts.insert((g, f, h, x)) {
-            sink.q_hpts.push((g, f, h, x));
+            sink.queues.hpts.push((g, f, h, x));
         }
     }
 
@@ -1336,7 +1205,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.hload.contains(&(g, f, y, x)) && sink.hload.insert((g, f, y, x)) {
-            sink.q_hload.push((g, f, y, x));
+            sink.queues.hload.push((g, f, y, x));
         }
     }
 
@@ -1345,7 +1214,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.call.contains(&(i, q, x)) && sink.call.insert((i, q, x)) {
-            sink.q_call.push((i, q, x));
+            sink.queues.call.push((i, q, x));
         }
     }
 
@@ -1354,7 +1223,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.spts.contains(&(f, h, x)) && sink.spts.insert((f, h, x)) {
-            sink.q_spts.push((f, h, x));
+            sink.queues.spts.push((f, h, x));
         }
     }
 
@@ -1363,7 +1232,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             return;
         };
         if self.reach.contains(&(p, m)) && sink.reach.insert((p, m)) {
-            sink.q_reach.push((p, m));
+            sink.queues.reach.push((p, m));
         }
     }
 
@@ -1403,456 +1272,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     fn prof_seed(&mut self, t: Option<Instant>) {
         if let Some(t) = t {
             self.stats.phase_profile.seed_ns += t.elapsed().as_nanos() as u64;
-        }
-    }
-
-    /// Runs the queues to empty with the engine the effective solve mode
-    /// and `threads` select: the bottom-up SCC wave scheduler
-    /// ([`summary`]), the legacy one-delta-at-a-time loop, or the
-    /// frontier-parallel rounds.
-    fn run_to_fixpoint(&mut self, threads: usize) {
-        self.stats.threads_used = threads;
-        match self.config.effective_solve_mode().0 {
-            SolveMode::SummaryScc => self.fixpoint_scc(threads),
-            SolveMode::Rounds if threads > 1 => self.fixpoint_parallel(threads),
-            SolveMode::Rounds => {
-                let t = self.prof_start();
-                self.fixpoint();
-                if let Some(t) = t {
-                    self.stats.phase_profile.eval_ns += t.elapsed().as_nanos() as u64;
-                }
-            }
-        }
-    }
-
-    fn fixpoint(&mut self) {
-        loop {
-            if let Some((p, m)) = self.q_reach.pop() {
-                self.stats.events += 1;
-                self.process_reach(p, m);
-                continue;
-            }
-            if let Some((y, h, x)) = self.q_pts.pop() {
-                self.stats.events += 1;
-                if self.config.subsumption && self.dead_pts.contains(&(y, h, x)) {
-                    continue;
-                }
-                self.process_pts(y, h, x);
-                continue;
-            }
-            if let Some((i, q, x)) = self.q_call.pop() {
-                self.stats.events += 1;
-                self.process_call(i, q, x);
-                continue;
-            }
-            if let Some((g, f, h, x)) = self.q_hpts.pop() {
-                self.stats.events += 1;
-                self.process_hpts(g, f, h, x);
-                continue;
-            }
-            if let Some((g, f, y, x)) = self.q_hload.pop() {
-                self.stats.events += 1;
-                self.process_hload(g, f, y, x);
-                continue;
-            }
-            if let Some((f, h, x)) = self.q_spts.pop() {
-                self.stats.events += 1;
-                self.process_spts(f, h, x);
-                continue;
-            }
-            break;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Rule drivers
-    // ------------------------------------------------------------------
-
-    /// New + Static, driven by a new `reach(P, M)` fact.
-    fn process_reach(&mut self, p: Method, m: CtxtStr) {
-        let ix = self.ix;
-        let t = self.prof_start();
-        if let Some(allocs) = ix.allocs_by_method.get(&p) {
-            for &(h, y) in allocs {
-                let x = self.abs.record(m);
-                self.insert_pts(y, h, x, "New");
-            }
-        }
-        self.prof_rule(t, rule::NEW);
-        let t = self.prof_start();
-        if let Some(statics) = ix.statics_by_method.get(&p) {
-            for &(i, q) in statics {
-                let c = self.abs.merge_s(CtxtElem::of_inv(i), m);
-                self.insert_call(i, q, c, "Static");
-            }
-        }
-        self.prof_rule(t, rule::STATIC);
-        // SLoad, reach role: spts(F,H,B), static_load(F,Z),
-        // reach(parent(Z), M) ⊢ pts(Z,H, load_global(B, M)).
-        let t = self.prof_start();
-        if let Some(loads) = ix.static_loads_by_method.get(&p) {
-            let mut facts = mem::take(&mut self.scratch_heap);
-            for &(f, z) in loads {
-                facts.clear();
-                if let Some(fs) = self.spts_by_field.get(&f) {
-                    facts.extend_from_slice(fs);
-                }
-                for &(h, b) in facts.iter() {
-                    let x = self.abs.load_global(b, m);
-                    self.insert_pts(z, h, x, "SLoad");
-                }
-            }
-            self.scratch_heap = facts;
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Assign, Load, Store (both roles), Param (actual role), Ret (return
-    /// role), Virt — driven by a new `pts(Z, H, B)` fact.
-    fn process_pts(&mut self, z: Var, h: Heap, b: A::X) {
-        let ix = self.ix;
-        // Assign: pts(Z,H,A), assign(Z,Y) ⊢ pts(Y,H,A).
-        let t = self.prof_start();
-        if let Some(targets) = ix.assign_from.get(&z) {
-            for &y in targets {
-                self.insert_pts(y, h, b, "Assign");
-            }
-        }
-        self.prof_rule(t, rule::ASSIGN);
-        // Load: pts(Y,G,A), load(Y,F,Z) ⊢ hload(G,F,Z,A).
-        let t = self.prof_start();
-        if let Some(loads) = ix.loads_by_base.get(&z) {
-            for &(f, dst) in loads {
-                self.insert_hload(h, f, dst, b, "Load");
-            }
-        }
-        self.prof_rule(t, rule::LOAD);
-        // Store, value role: pts(X,H,B), store(X,F,Z), pts(Z,G,C)
-        // ⊢ hpts(G,F,H, B;C⁻¹).
-        let t = self.prof_start();
-        if let Some(stores) = ix.stores_by_value.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(f, base) in stores {
-                cand.clear();
-                self.collect_compatible_pts(base, query, &mut cand);
-                for &(g, c) in cand.iter() {
-                    let inv_c = self.abs.invert(c);
-                    if let Some(a) = self.compose(b, inv_c, self.limits_store()) {
-                        self.insert_hpts(g, f, h, a, "Store");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        // Store, base role: pts(Z,G,C) with store(X,F,Z).
-        if let Some(stores) = ix.stores_by_base.get(&z) {
-            // (Same timed block as the value role: both are Store.)
-            let query = self.abs.dst_boundary(b);
-            let inv_c = self.abs.invert(b);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(f, value) in stores {
-                cand.clear();
-                self.collect_compatible_pts(value, query, &mut cand);
-                for &(hh, bv) in cand.iter() {
-                    if let Some(a) = self.compose(bv, inv_c, self.limits_store()) {
-                        self.insert_hpts(h, f, hh, a, "Store");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::STORE);
-        // Param, actual role: pts(Z,H,B), actual(Z,I,O), call(I,P,C),
-        // formal(Y,P,O) ⊢ pts(Y,H, B;C).
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_var.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_method);
-            for &(i, o) in actuals {
-                cand.clear();
-                self.collect_compatible_call_by_inv(i, query, &mut cand);
-                for &(p, c) in cand.iter() {
-                    let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                        continue;
-                    };
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Param");
-                    }
-                }
-            }
-            self.scratch_method = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        // Ret, return role: pts(Z,H,B), return(Z,P), call(I,P,C),
-        // assign_return(I,Y) ⊢ pts(Y,H, B;C⁻¹).
-        let t = self.prof_start();
-        if let Some(returns) = ix.returns_by_var.get(&z) {
-            let query = self.abs.dst_boundary(b);
-            let mut cand = mem::take(&mut self.scratch_inv);
-            for &p in returns {
-                cand.clear();
-                self.collect_compatible_call_by_method(p, query, &mut cand);
-                for &(i, c) in cand.iter() {
-                    let inv_c = self.abs.invert(c);
-                    let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                        continue;
-                    };
-                    if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-                        for &y in ys {
-                            self.insert_pts(y, h, a, "Ret");
-                        }
-                    }
-                }
-            }
-            self.scratch_inv = cand;
-        }
-        self.prof_rule(t, rule::RET);
-        // SStore: pts(X,H,B), static_store(X,F) ⊢ spts(F,H, globalize(B)).
-        let t = self.prof_start();
-        if let Some(fields) = ix.static_stores_by_var.get(&z) {
-            for &f in fields {
-                let g = self.abs.globalize(b);
-                self.insert_spts(f, h, g, "SStore");
-            }
-        }
-        self.prof_rule(t, rule::SSTORE);
-        // Virt: virtual_invoke(I,Z,S), pts(Z,H,B), heap_type(H,T),
-        // implements(Q,T,S), this_var(Y,Q), C ≡ merge(H,I,B)
-        // ⊢ pts(Y,H, B;C), call(I,Q,C).
-        let t = self.prof_start();
-        if let Some(virtuals) = ix.virtuals_by_recv.get(&z) {
-            let t = ix.type_of_heap[h.index()];
-            let class = ix.class_of_heap[h.index()];
-            for &(i, s) in virtuals {
-                let Some(q) = ix.resolve(t, s) else { continue };
-                let site = MergeSite {
-                    inv: CtxtElem::of_inv(i),
-                    heap: CtxtElem::of_heap(h),
-                    class: CtxtElem::of_type(class),
-                };
-                let c = self.abs.merge(site, b);
-                self.insert_call(i, q, c, "Virt");
-                if let Some(&y) = ix.this_of_method.get(&q) {
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Virt");
-                    }
-                }
-            }
-        }
-        self.prof_rule(t, rule::VIRT);
-    }
-
-    /// Ind, hpts role: hpts(G,F,H,B), hload(G,F,Y,C) ⊢ pts(Y,H, B;C).
-    fn process_hpts(&mut self, g: Heap, f: Field, h: Heap, b: A::X) {
-        let t = self.prof_start();
-        let query = self.abs.dst_boundary(b);
-        let mut cand = mem::take(&mut self.scratch_var);
-        cand.clear();
-        self.collect_compatible_hload(g, f, query, &mut cand);
-        for &(y, c) in cand.iter() {
-            if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                self.insert_pts(y, h, a, "Ind");
-            }
-        }
-        self.scratch_var = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// Ind, hload role.
-    fn process_hload(&mut self, g: Heap, f: Field, y: Var, c: A::X) {
-        let t = self.prof_start();
-        let query = self.abs.src_boundary(c);
-        let mut cand = mem::take(&mut self.scratch_heap);
-        cand.clear();
-        self.collect_compatible_hpts(g, f, query, &mut cand);
-        for &(h, b) in cand.iter() {
-            if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                self.insert_pts(y, h, a, "Ind");
-            }
-        }
-        self.scratch_heap = cand;
-        self.prof_rule(t, rule::IND);
-    }
-
-    /// SLoad, spts role: join against every reachable context of each
-    /// loading method.
-    fn process_spts(&mut self, f: Field, h: Heap, b: A::X) {
-        let ix = self.ix;
-        let t = self.prof_start();
-        if let Some(loaders) = ix.static_loads_by_field.get(&f) {
-            let mut contexts = mem::take(&mut self.scratch_ctxts);
-            for &z in loaders {
-                let p = self.program.var_method[z.index()];
-                contexts.clear();
-                if let Some(ms) = self.reach_by_method.get(&p) {
-                    contexts.extend_from_slice(ms);
-                }
-                for &m in contexts.iter() {
-                    let x = self.abs.load_global(b, m);
-                    self.insert_pts(z, h, x, "SLoad");
-                }
-            }
-            self.scratch_ctxts = contexts;
-        }
-        self.prof_rule(t, rule::SLOAD);
-    }
-
-    /// Reach + Param (call role) + Ret (call role), driven by a new
-    /// `call(I, P, C)` fact.
-    fn process_call(&mut self, i: Inv, p: Method, c: A::X) {
-        let ix = self.ix;
-        // Reach: call(I,P,A) ⊢ reach(P, target(A)).
-        let t = self.prof_start();
-        let m = self.abs.target(c);
-        self.insert_reach(p, m, "Reach");
-        self.prof_rule(t, rule::REACH);
-        // Param, call role.
-        let t = self.prof_start();
-        if let Some(actuals) = ix.actuals_by_inv.get(&i) {
-            let query = self.abs.src_boundary(c);
-            let mut cand = mem::take(&mut self.scratch_heap);
-            for &(o, z) in actuals {
-                let Some(&y) = ix.formal_of.get(&(p, o)) else {
-                    continue;
-                };
-                cand.clear();
-                self.collect_compatible_pts(z, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    if let Some(a) = self.compose(b, c, self.limits_flow()) {
-                        self.insert_pts(y, h, a, "Param");
-                    }
-                }
-            }
-            self.scratch_heap = cand;
-        }
-        self.prof_rule(t, rule::PARAM);
-        // Ret, call role.
-        let t = self.prof_start();
-        if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-            if self.summary_mode() {
-                // Summary path: one boundary-indexed probe over the
-                // callee's merged summary rows instead of a scan per
-                // return variable. The rows, the compatibility filter,
-                // and the compose are byte-identical to the scan below,
-                // so the derived facts are too.
-                let query = self.abs.dst_boundary(c);
-                let inv_c = self.abs.invert(c);
-                let mut cand = mem::take(&mut self.scratch_heap);
-                cand.clear();
-                self.collect_compatible_summary(p, query, &mut cand);
-                for &(h, b) in cand.iter() {
-                    let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                        continue;
-                    };
-                    self.stats.summaries_applied += 1;
-                    for &y in ys {
-                        self.insert_pts(y, h, a, "Ret");
-                    }
-                }
-                self.scratch_heap = cand;
-            } else if let Some(returns) = ix.returns_by_method.get(&p) {
-                let query = self.abs.dst_boundary(c);
-                // `c` is fixed for this delta, so its inverse is loop-invariant.
-                let inv_c = self.abs.invert(c);
-                let mut cand = mem::take(&mut self.scratch_heap);
-                for &z in returns {
-                    cand.clear();
-                    self.collect_compatible_pts(z, query, &mut cand);
-                    for &(h, b) in cand.iter() {
-                        let Some(a) = self.compose(b, inv_c, self.limits_flow()) else {
-                            continue;
-                        };
-                        for &y in ys {
-                            self.insert_pts(y, h, a, "Ret");
-                        }
-                    }
-                }
-                self.scratch_heap = cand;
-            }
-        }
-        self.prof_rule(t, rule::RET);
-    }
-
-    // ------------------------------------------------------------------
-    // Join candidate collection
-    // ------------------------------------------------------------------
-
-    fn collect_compatible_pts(&mut self, var: Var, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        if let Some(bucket) = self.pts_by_var.get(&var) {
-            let probes = if self.config.subsumption {
-                let dead = &self.dead_pts;
-                bucket.for_compatible(query, self.abs.interner(), |(h, x)| {
-                    if !dead.contains(&(var, h, x)) {
-                        out.push((h, x));
-                    }
-                })
-            } else {
-                bucket.for_compatible(query, self.abs.interner(), |v| out.push(v))
-            };
-            self.stats.probes += probes;
-        }
-    }
-
-    /// Summary-mode analogue of per-return-variable
-    /// [`Solver::collect_compatible_pts`]: probes the callee's merged
-    /// summary bucket. Summary mode never runs with subsumption
-    /// ([`AnalysisConfig::effective_solve_mode`] falls back first), so
-    /// there is no dead-row filter here.
-    fn collect_compatible_summary(
-        &mut self,
-        p: Method,
-        query: CtxtStr,
-        out: &mut Vec<(Heap, A::X)>,
-    ) {
-        if let Some(bucket) = self.summary_by_method.get(&p) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_call_by_inv(
-        &mut self,
-        i: Inv,
-        query: CtxtStr,
-        out: &mut Vec<(Method, A::X)>,
-    ) {
-        if let Some(bucket) = self.call_by_inv.get(&i) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_call_by_method(
-        &mut self,
-        p: Method,
-        query: CtxtStr,
-        out: &mut Vec<(Inv, A::X)>,
-    ) {
-        if let Some(bucket) = self.call_by_method.get(&p) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_hload(
-        &mut self,
-        g: Heap,
-        f: Field,
-        query: CtxtStr,
-        out: &mut Vec<(Var, A::X)>,
-    ) {
-        if let Some(bucket) = self.hload_by_gf.get(&(g, f)) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
-        }
-    }
-
-    fn collect_compatible_hpts(
-        &mut self,
-        g: Heap,
-        f: Field,
-        query: CtxtStr,
-        out: &mut Vec<(Heap, A::X)>,
-    ) {
-        if let Some(bucket) = self.hpts_by_gf.get(&(g, f)) {
-            self.stats.probes += bucket.for_compatible(query, self.abs.interner(), |v| out.push(v));
         }
     }
 
@@ -1905,7 +1324,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
     // Insertion
     // ------------------------------------------------------------------
 
-    fn insert_pts(&mut self, y: Var, h: Heap, x: A::X, rule: &'static str) {
+    fn insert_pts(&mut self, y: Var, h: Heap, x: A::X, rule: usize) {
         if self.retract.is_some() {
             self.mark_retract_pts(y, h, x);
             return;
@@ -1973,23 +1392,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             .entry(y)
             .or_insert_with(|| Bucket::new(strategy, mode))
             .insert(boundary, (h, x), self.abs.interner());
-        // Summary synthesis: a new row on a return variable of `P`
-        // becomes (part of) `P`'s summary transformation, ready for
-        // caller-side Ret joins without re-scanning `P`'s returns.
-        if self.summary_mode() {
-            let ix = self.ix;
-            if let Some(methods) = ix.returns_by_var.get(&y) {
-                for &p in methods {
-                    if self.summary_seen.insert((p, h, x)) {
-                        self.stats.summaries_synthesized += 1;
-                        self.summary_by_method
-                            .entry(p)
-                            .or_insert_with(|| Bucket::new(strategy, mode))
-                            .insert(boundary, (h, x), self.abs.interner());
-                    }
-                }
-            }
-        }
         if self.config.record_facts {
             let text = format!(
                 "pts({}, {}, {})",
@@ -1999,14 +1401,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "pts",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_pts.push((y, h, x));
+        self.queues.pts.push((y, h, x));
     }
 
-    fn insert_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: &'static str) {
+    fn insert_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: usize) {
         // The collapse transform runs before retract marking so marked
         // tuples match the stored (collapsed) representation.
         let x = if self.config.collapse_insensitive_heap && self.levels.heap == 0 {
@@ -2045,14 +1447,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "hpts",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_hpts.push((g, f, h, x));
+        self.queues.hpts.push((g, f, h, x));
     }
 
-    fn insert_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: &'static str) {
+    fn insert_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: usize) {
         if self.retract.is_some() {
             self.mark_retract_hload(g, f, y, x);
             return;
@@ -2084,14 +1486,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "hload",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_hload.push((g, f, y, x));
+        self.queues.hload.push((g, f, y, x));
     }
 
-    fn insert_call(&mut self, i: Inv, q: Method, x: A::X, rule: &'static str) {
+    fn insert_call(&mut self, i: Inv, q: Method, x: A::X, rule: usize) {
         if self.retract.is_some() {
             self.mark_retract_call(i, q, x);
             return;
@@ -2127,14 +1529,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "call",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_call.push((i, q, x));
+        self.queues.call.push((i, q, x));
     }
 
-    fn insert_spts(&mut self, f: Field, h: Heap, x: A::X, rule: &'static str) {
+    fn insert_spts(&mut self, f: Field, h: Heap, x: A::X, rule: usize) {
         if self.retract.is_some() {
             self.mark_retract_spts(f, h, x);
             return;
@@ -2159,14 +1561,14 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "spts",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_spts.push((f, h, x));
+        self.queues.spts.push((f, h, x));
     }
 
-    fn insert_reach(&mut self, p: Method, m: CtxtStr, rule: &'static str) {
+    fn insert_reach(&mut self, p: Method, m: CtxtStr, rule: usize) {
         if self.retract.is_some() {
             self.mark_retract_reach(p, m);
             return;
@@ -2192,11 +1594,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             );
             self.log.push(LoggedFact {
                 relation: "reach",
-                rule,
+                rule: RULE_NAMES[rule],
                 text,
             });
         }
-        self.q_reach.push((p, m));
+        self.queues.reach.push((p, m));
     }
 
     // ------------------------------------------------------------------

@@ -1,32 +1,44 @@
-//! Round-based frontier parallelism for the semi-naive solver.
+//! The round engine: the solver's one fixpoint loop.
 //!
-//! The legacy loop in [`super`] pops one delta at a time and mutates the
-//! fact indices after every rule evaluation. This module restructures the
-//! same rules into rounds:
+//! Every solve, extension and DRed phase runs the queues to empty in
+//! rounds:
 //!
-//! 1. **Drain**: all delta queues are drained (in a fixed relation order)
-//!    into one `frontier` vector.
-//! 2. **Evaluate (parallel)**: the frontier is split into contiguous
-//!    chunks; `std::thread::scope` workers evaluate the rule drivers
-//!    *read-only* against the frozen solver state (fact sets, join
-//!    buckets, interner, `ProgramIndex`), appending [`Candidate`]
-//!    derivations to a private per-chunk buffer. Worker `w` statically
-//!    owns chunks `w, w + T, w + 2T, …`, and each worker keeps its own
-//!    compose-memo shard across rounds.
+//! 1. **Drain**: the delta queues are taken whole as the round's
+//!    frontier, read as one sequence in a fixed relation order.
+//! 2. **Evaluate**: the frontier is split into contiguous chunks and the
+//!    rule drivers run *read-only* against the frozen solver state (fact
+//!    sets, join buckets, interner, `ProgramIndex`), appending
+//!    [`Candidate`] derivations to a private per-chunk buffer. With one
+//!    thread every chunk is evaluated inline on the calling thread; with
+//!    `T > 1`, `std::thread::scope` worker `w` statically owns chunks
+//!    `w, w + T, w + 2T, …`. Each worker keeps its own compose-memo shard
+//!    across rounds; worker 0's shard is the solver's persistent memo, so
+//!    a later extension starts warm.
 //! 3. **Merge (sequential)**: chunk buffers are applied in chunk order
-//!    through the ordinary `insert_*` methods, which dedup, subsume,
-//!    index, log, and re-queue exactly as the legacy path does.
+//!    through the `insert_*` methods, which dedup, subsume, gate, index,
+//!    log, and re-queue.
+//!
+//! # Retract mode
+//!
+//! During the over-delete phase of a DRed update the solver carries a
+//! `RetractSink`: the drain takes the sink's worklists, the drivers are
+//! unchanged, and `insert_*` *marks* a consequence for deletion instead of
+//! inserting it — but only if it is currently derived. The worker-side
+//! emit filter flips accordingly: normally it drops consequences that are
+//! already present (the merge would drop them as duplicates); in retract
+//! mode it keeps exactly those, since an absent fact cannot be marked.
 //!
 //! # Determinism
 //!
 //! The result is bit-identical for every thread count (and across runs):
 //!
-//! * Workers never mutate shared state — the one operation the legacy rule
-//!   drivers mutate through, context-string interning, is routed through
-//!   the read-only `try_*` twins of the [`Abstraction`] interface. When a
-//!   derivation would need to intern a *new* string, the worker emits a
-//!   deferred [`Candidate`] and the merge phase replays the mutating twin.
-//!   All interning therefore happens sequentially, in candidate order.
+//! * Workers never mutate shared state — the one operation the rule
+//!   drivers would mutate through, context-string interning, is routed
+//!   through the read-only `try_*` twins of the [`Abstraction`] interface.
+//!   When a derivation would need to intern a *new* string, the worker
+//!   emits a deferred [`Candidate`] and the merge phase replays the
+//!   mutating twin. All interning therefore happens sequentially, in
+//!   candidate order.
 //! * The concatenation of the chunk buffers equals the candidate sequence
 //!   a single worker would produce walking the frontier in order: chunks
 //!   are contiguous, chunk processing is pure, and the merge applies them
@@ -37,20 +49,20 @@
 //!   program and the configuration.
 //!
 //! Per-worker memo shards do not perturb this: a shard only ever caches a
-//! result the read-only twin *did* compute, and interning is append-only,
-//! so a hit returns exactly what recomputation would. (Chunk→worker
-//! assignment is static, so for a *fixed* thread count even the memo
-//! hit/miss counters are deterministic; across different thread counts
-//! they differ while the fact sets stay identical.)
+//! result that is exact, and interning is append-only, so a hit returns
+//! exactly what recomputation would. (Chunk→worker assignment is static,
+//! so for a *fixed* thread count even the memo hit/miss counters are
+//! deterministic; across different thread counts they differ while the
+//! fact sets stay identical.)
 //!
 //! # Completeness
 //!
-//! Semi-naive completeness is preserved because every accepted fact is
-//! queued and later driven as a delta against indices that already contain
-//! all facts accepted before it (the merge phase inserts and queues in the
-//! same step, and a round's indices include everything from prior merges),
-//! and both orientations of every two-derived-literal join are implemented
-//! by the drivers — the same argument as the sequential engine's.
+//! Semi-naive completeness holds because every accepted fact is queued
+//! and later driven as a delta against indices that already contain all
+//! facts accepted before it (the merge phase inserts and queues in the
+//! same step, and a round's indices include everything from prior
+//! merges), and both orientations of every two-derived-literal join are
+//! implemented by the drivers.
 
 use std::mem;
 use std::time::Instant;
@@ -58,37 +70,32 @@ use std::time::Instant;
 use ctxform_algebra::{Abstraction, CtxtElem, CtxtStr, Limits, MergeSite};
 use ctxform_ir::{Field, Heap, Inv, Method, Var};
 
-use super::{ComposeMemo, Solver};
+use super::{ComposeMemo, Queues, Solver};
 use crate::result::{rule, RoundProfile, RuleTimes, MAX_ROUND_PROFILES};
 
-/// One drained delta, tagged with its relation.
-pub(super) enum Delta<X> {
-    Reach(Method, CtxtStr),
-    Pts(Var, Heap, X),
-    Call(Inv, Method, X),
-    Hpts(Heap, Field, Heap, X),
-    Hload(Heap, Field, Var, X),
-    Spts(Field, Heap, X),
-}
+/// A Figure 3 rule as an index into [`crate::RULE_NAMES`], narrowed so a
+/// buffered [`Candidate`] stays small.
+type RuleId = u8;
 
 /// A derivation produced by a worker, to be applied by the merge phase.
 ///
 /// The `Def*` variants are derivations the worker could not finish
 /// read-only because the result requires interning a new context string;
 /// the merge phase replays the mutating operation and inserts the result.
-pub(super) enum Candidate<X> {
-    Pts(Var, Heap, X, &'static str),
-    Hpts(Heap, Field, Heap, X, &'static str),
-    Hload(Heap, Field, Var, X, &'static str),
-    Call(Inv, Method, X, &'static str),
-    Spts(Field, Heap, X, &'static str),
-    Reach(Method, CtxtStr, &'static str),
+enum Candidate<X> {
+    Pts(Var, Heap, X, RuleId),
+    Hpts(Heap, Field, Heap, X, RuleId),
+    Hload(Heap, Field, Var, X, RuleId),
+    Call(Inv, Method, X, RuleId),
+    Spts(Field, Heap, X, RuleId),
+    Reach(Method, CtxtStr, RuleId),
     /// `record(m)` feeding `pts(y, h, ·)` (New).
     DefRecord(Var, Heap, CtxtStr),
-    /// `compose(a, b, limits)` feeding `pts(y, h, ·)`.
-    DefComposePts(Var, Heap, X, X, Limits, &'static str),
-    /// `compose(a, b, limits)` feeding `hpts(g, f, h, ·)`.
-    DefComposeHpts(Heap, Field, Heap, X, X, Limits, &'static str),
+    /// `compose(a, b, limits_flow)` feeding `pts(y, h, ·)` (Param, Ret,
+    /// Virt, Ind).
+    DefComposePts(Var, Heap, X, X, RuleId),
+    /// `compose(a, b, limits_store)` feeding `hpts(g, f, h, ·)` (Store).
+    DefComposeHpts(Heap, Field, Heap, X, X),
     /// `merge_s(i, m)` feeding `call(i, q, ·)` (Static).
     DefMergeS(Inv, Method, CtxtStr),
     /// `load_global(b, m)` feeding `pts(z, h, ·)` (SLoad).
@@ -103,7 +110,7 @@ pub(super) enum Candidate<X> {
 
 /// Per-worker state that persists across rounds: the compose-memo shard
 /// and the reusable join-candidate buffers.
-pub(super) struct WorkerState<X> {
+struct WorkerState<X> {
     memo: ComposeMemo<X>,
     scratch_heap: Vec<(Heap, X)>,
     scratch_method: Vec<(Method, X)>,
@@ -125,22 +132,19 @@ impl<X> Default for WorkerState<X> {
 
 /// The output of processing one chunk: candidates in frontier order plus
 /// the counter deltas to fold into [`SolverStats`](crate::SolverStats).
-pub(super) struct ChunkOut<X> {
-    pub(super) cands: Vec<Candidate<X>>,
-    pub(super) probes: u64,
-    pub(super) compose_calls: u64,
-    pub(super) compose_bottom: u64,
-    pub(super) memo_hits: u64,
-    pub(super) memo_misses: u64,
-    pub(super) deferred: u64,
-    /// Summary-index Ret applications observed by this chunk's worker
-    /// (summary mode only; always zero under round-based solving).
-    pub(super) summaries_applied: u64,
+struct ChunkOut<X> {
+    cands: Vec<Candidate<X>>,
+    probes: u64,
+    compose_calls: u64,
+    compose_bottom: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    deferred: u64,
     /// Per-rule evaluation wall time observed by this chunk's worker
     /// (all-zero unless `config.profile` is set). Folded into
     /// `stats.rule_time` during the merge phase — purely observational,
     /// never part of the candidate stream.
-    pub(super) rule_time: RuleTimes,
+    rule_time: RuleTimes,
 }
 
 impl<X> Default for ChunkOut<X> {
@@ -153,7 +157,6 @@ impl<X> Default for ChunkOut<X> {
             memo_hits: 0,
             memo_misses: 0,
             deferred: 0,
-            summaries_applied: 0,
             rule_time: RuleTimes::default(),
         }
     }
@@ -162,7 +165,7 @@ impl<X> Default for ChunkOut<X> {
 /// Contiguous chunk length for a frontier of `n` deltas. Any value yields
 /// the same result (chunks are concatenated in order); this only balances
 /// scheduling granularity against per-chunk overhead.
-pub(super) fn chunk_size(n: usize, threads: usize) -> usize {
+fn chunk_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 4).clamp(16, 4096)
 }
 
@@ -171,36 +174,59 @@ struct Worker<'a, 'p, A: Abstraction> {
     s: &'a Solver<'p, A>,
     st: &'a mut WorkerState<A::X>,
     out: ChunkOut<A::X>,
+    /// The solver is in the over-delete phase (see the module docs).
+    retracting: bool,
 }
 
-/// Evaluates the rule drivers for every delta in `chunk`, read-only.
-pub(super) fn process_chunk<'p, A: Abstraction>(
-    s: &Solver<'p, A>,
+/// Evaluates the rule drivers, read-only, for the deltas at positions
+/// `lo..hi` of `frontier` read as one sequence in relation order (reach,
+/// pts, call, hpts, hload, spts).
+fn process_chunk<A: Abstraction>(
+    s: &Solver<'_, A>,
     st: &mut WorkerState<A::X>,
-    chunk: &[Delta<A::X>],
+    frontier: &Queues<A::X>,
+    lo: usize,
+    hi: usize,
 ) -> ChunkOut<A::X> {
     let mut w = Worker {
         s,
         st,
         out: ChunkOut::default(),
+        retracting: s.retract.is_some(),
     };
-    for delta in chunk {
-        match *delta {
-            Delta::Reach(p, m) => w.drive_reach(p, m),
-            Delta::Pts(y, h, x) => w.drive_pts(y, h, x),
-            Delta::Call(i, q, x) => w.drive_call(i, q, x),
-            Delta::Hpts(g, f, h, x) => w.drive_hpts(g, f, h, x),
-            Delta::Hload(g, f, y, x) => w.drive_hload(g, f, y, x),
-            Delta::Spts(f, h, x) => w.drive_spts(f, h, x),
-        }
+    // The part of `lo..hi` that falls in the next relation's queue, as a
+    // range local to that queue.
+    let mut base = 0;
+    let mut local = |len: usize| {
+        let r = lo.clamp(base, base + len) - base..hi.clamp(base, base + len) - base;
+        base += len;
+        r
+    };
+    for &(p, m) in &frontier.reach[local(frontier.reach.len())] {
+        w.drive_reach(p, m);
+    }
+    for &(y, h, x) in &frontier.pts[local(frontier.pts.len())] {
+        w.drive_pts(y, h, x);
+    }
+    for &(i, q, x) in &frontier.call[local(frontier.call.len())] {
+        w.drive_call(i, q, x);
+    }
+    for &(g, f, h, x) in &frontier.hpts[local(frontier.hpts.len())] {
+        w.drive_hpts(g, f, h, x);
+    }
+    for &(g, f, y, x) in &frontier.hload[local(frontier.hload.len())] {
+        w.drive_hload(g, f, y, x);
+    }
+    for &(f, h, x) in &frontier.spts[local(frontier.spts.len())] {
+        w.drive_spts(f, h, x);
     }
     w.out
 }
 
 impl<'p, A: Abstraction> Worker<'_, 'p, A> {
-    // Profiling hooks — mirrors of the legacy solver's: plain untaken
-    // branches (no clocks) when `config.profile` is off, and when on the
-    // timings land only in `out.rule_time`, never in the candidates.
+    // Profiling hooks: plain untaken branches (no clocks) when
+    // `config.profile` is off, and when on the timings land only in
+    // `out.rule_time`, never in the candidates.
 
     /// Block-start timestamp, or `None` when profiling is off.
     #[inline]
@@ -222,58 +248,69 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         }
     }
 
-    // Emit helpers: pre-filter exact duplicates against the frozen fact
-    // sets. `insert_*` performs the same check first against a superset of
-    // this state (facts are never removed), so the filter only drops
-    // candidates the merge phase would drop anyway.
+    // Emit helpers: pre-filter candidates against the frozen fact sets.
+    // Normally an already-present fact is dropped: `insert_*` performs the
+    // same check against a superset of this state (facts are never removed
+    // mid-solve), so the filter only drops what the merge would. In retract
+    // mode only present facts are kept, because `mark_retract_*` marks
+    // nothing else.
 
-    fn emit_pts(&mut self, y: Var, h: Heap, x: A::X, rule: &'static str) {
-        if self.s.pts.contains(&(y, h, x)) {
-            return;
-        }
-        self.out.cands.push(Candidate::Pts(y, h, x, rule));
+    /// Whether a consequence goes to the merge phase, given whether it is
+    /// `present` in the frozen fact sets.
+    #[inline]
+    fn wanted(&self, present: bool) -> bool {
+        present == self.retracting
     }
 
-    fn emit_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        // Mirror insert_hpts's collapse so the dedup key matches.
+    fn emit_pts(&mut self, y: Var, h: Heap, x: A::X, rule: usize) {
+        if self.wanted(self.s.pts.contains(&(y, h, x))) {
+            self.out.cands.push(Candidate::Pts(y, h, x, rule as RuleId));
+        }
+    }
+
+    fn emit_hpts(&mut self, g: Heap, f: Field, h: Heap, x: A::X, rule: usize) {
+        // Mirror insert_hpts's collapse so the lookup key matches.
         let s = self.s;
         let x = if s.config.collapse_insensitive_heap && s.levels.heap == 0 {
             s.abs.uninformative()
         } else {
             x
         };
-        if s.hpts.contains(&(g, f, h, x)) {
-            return;
+        if self.wanted(s.hpts.contains(&(g, f, h, x))) {
+            self.out
+                .cands
+                .push(Candidate::Hpts(g, f, h, x, rule as RuleId));
         }
-        self.out.cands.push(Candidate::Hpts(g, f, h, x, rule));
     }
 
-    fn emit_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: &'static str) {
-        if self.s.hload.contains(&(g, f, y, x)) {
-            return;
+    fn emit_hload(&mut self, g: Heap, f: Field, y: Var, x: A::X, rule: usize) {
+        if self.wanted(self.s.hload.contains(&(g, f, y, x))) {
+            self.out
+                .cands
+                .push(Candidate::Hload(g, f, y, x, rule as RuleId));
         }
-        self.out.cands.push(Candidate::Hload(g, f, y, x, rule));
     }
 
-    fn emit_call(&mut self, i: Inv, q: Method, x: A::X, rule: &'static str) {
-        if self.s.call.contains(&(i, q, x)) {
-            return;
+    fn emit_call(&mut self, i: Inv, q: Method, x: A::X, rule: usize) {
+        if self.wanted(self.s.call.contains(&(i, q, x))) {
+            self.out
+                .cands
+                .push(Candidate::Call(i, q, x, rule as RuleId));
         }
-        self.out.cands.push(Candidate::Call(i, q, x, rule));
     }
 
-    fn emit_spts(&mut self, f: Field, h: Heap, x: A::X, rule: &'static str) {
-        if self.s.spts.contains(&(f, h, x)) {
-            return;
+    fn emit_spts(&mut self, f: Field, h: Heap, x: A::X, rule: usize) {
+        if self.wanted(self.s.spts.contains(&(f, h, x))) {
+            self.out
+                .cands
+                .push(Candidate::Spts(f, h, x, rule as RuleId));
         }
-        self.out.cands.push(Candidate::Spts(f, h, x, rule));
     }
 
-    fn emit_reach(&mut self, p: Method, m: CtxtStr, rule: &'static str) {
-        if self.s.reach.contains(&(p, m)) {
-            return;
+    fn emit_reach(&mut self, p: Method, m: CtxtStr, rule: usize) {
+        if self.wanted(self.s.reach.contains(&(p, m))) {
+            self.out.cands.push(Candidate::Reach(p, m, rule as RuleId));
         }
-        self.out.cands.push(Candidate::Reach(p, m, rule));
     }
 
     fn defer(&mut self, cand: Candidate<A::X>) {
@@ -312,17 +349,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         }
     }
 
-    // Read-only join candidate collection (mirrors the legacy
-    // `collect_compatible_*` methods, counting probes locally).
-
-    /// Worker-side mirror of `Solver::collect_compatible_summary`
-    /// (summary mode never runs with subsumption, so no dead filter).
-    fn collect_summary(&mut self, p: Method, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
-        let s = self.s;
-        if let Some(bucket) = s.summary_by_method.get(&p) {
-            self.out.probes += bucket.for_compatible(query, s.abs.interner(), |v| out.push(v));
-        }
-    }
+    // Read-only join candidate collection, counting probes locally.
 
     fn collect_pts(&mut self, var: Var, query: CtxtStr, out: &mut Vec<(Heap, A::X)>) {
         let s = self.s;
@@ -369,9 +396,9 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         }
     }
 
-    // Rule drivers: read-only mirrors of the legacy `process_*` methods.
-    // The candidate emission order within one delta is exactly the legacy
-    // insertion order.
+    // Rule drivers: one per derived relation, evaluating every Figure 3
+    // rule body the delta can occupy. Each emits its consequences in a
+    // fixed order, so the candidate stream is deterministic.
 
     /// New + Static + SLoad (reach role).
     fn drive_reach(&mut self, p: Method, m: CtxtStr) {
@@ -381,7 +408,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         if let Some(allocs) = ix.allocs_by_method.get(&p) {
             for &(h, y) in allocs {
                 match s.abs.try_record(m) {
-                    Ok(x) => self.emit_pts(y, h, x, "New"),
+                    Ok(x) => self.emit_pts(y, h, x, rule::NEW),
                     Err(_) => self.defer(Candidate::DefRecord(y, h, m)),
                 }
             }
@@ -391,7 +418,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         if let Some(statics) = ix.statics_by_method.get(&p) {
             for &(i, q) in statics {
                 match s.abs.try_merge_s(CtxtElem::of_inv(i), m) {
-                    Ok(c) => self.emit_call(i, q, c, "Static"),
+                    Ok(c) => self.emit_call(i, q, c, rule::STATIC),
                     Err(_) => self.defer(Candidate::DefMergeS(i, q, m)),
                 }
             }
@@ -407,7 +434,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 }
                 for &(h, b) in facts.iter() {
                     match s.abs.try_load_global(b, m) {
-                        Ok(x) => self.emit_pts(z, h, x, "SLoad"),
+                        Ok(x) => self.emit_pts(z, h, x, rule::SLOAD),
                         Err(_) => self.defer(Candidate::DefLoadGlobal(z, h, b, m)),
                     }
                 }
@@ -425,14 +452,14 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         let t = self.prof_start();
         if let Some(targets) = ix.assign_from.get(&z) {
             for &y in targets {
-                self.emit_pts(y, h, b, "Assign");
+                self.emit_pts(y, h, b, rule::ASSIGN);
             }
         }
         self.prof_rule(t, rule::ASSIGN);
         let t = self.prof_start();
         if let Some(loads) = ix.loads_by_base.get(&z) {
             for &(f, dst) in loads {
-                self.emit_hload(h, f, dst, b, "Load");
+                self.emit_hload(h, f, dst, b, rule::LOAD);
             }
         }
         self.prof_rule(t, rule::LOAD);
@@ -447,11 +474,9 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 for &(g, c) in cand.iter() {
                     let inv_c = s.abs.invert(c);
                     match self.try_compose(b, inv_c, limits) {
-                        Ok(Some(a)) => self.emit_hpts(g, f, h, a, "Store"),
+                        Ok(Some(a)) => self.emit_hpts(g, f, h, a, rule::STORE),
                         Ok(None) => {}
-                        Err(()) => self.defer(Candidate::DefComposeHpts(
-                            g, f, h, b, inv_c, limits, "Store",
-                        )),
+                        Err(()) => self.defer(Candidate::DefComposeHpts(g, f, h, b, inv_c)),
                     }
                 }
             }
@@ -467,11 +492,9 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 self.collect_pts(value, query, &mut cand);
                 for &(hh, bv) in cand.iter() {
                     match self.try_compose(bv, inv_c, limits) {
-                        Ok(Some(a)) => self.emit_hpts(h, f, hh, a, "Store"),
+                        Ok(Some(a)) => self.emit_hpts(h, f, hh, a, rule::STORE),
                         Ok(None) => {}
-                        Err(()) => self.defer(Candidate::DefComposeHpts(
-                            h, f, hh, bv, inv_c, limits, "Store",
-                        )),
+                        Err(()) => self.defer(Candidate::DefComposeHpts(h, f, hh, bv, inv_c)),
                     }
                 }
             }
@@ -491,10 +514,10 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                         continue;
                     };
                     match self.try_compose(b, c, limits) {
-                        Ok(Some(a)) => self.emit_pts(y, h, a, "Param"),
+                        Ok(Some(a)) => self.emit_pts(y, h, a, rule::PARAM),
                         Ok(None) => {}
                         Err(()) => {
-                            self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Param"))
+                            self.defer(Candidate::DefComposePts(y, h, b, c, rule::PARAM as RuleId))
                         }
                     }
                 }
@@ -520,9 +543,14 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                     if let Some(ys) = ix.assign_return_by_inv.get(&i) {
                         for &y in ys {
                             match composed {
-                                Some(a) => self.emit_pts(y, h, a, "Ret"),
-                                None => self
-                                    .defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret")),
+                                Some(a) => self.emit_pts(y, h, a, rule::RET),
+                                None => self.defer(Candidate::DefComposePts(
+                                    y,
+                                    h,
+                                    b,
+                                    inv_c,
+                                    rule::RET as RuleId,
+                                )),
                             }
                         }
                     }
@@ -535,7 +563,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         if let Some(fields) = ix.static_stores_by_var.get(&z) {
             for &f in fields {
                 match s.abs.try_globalize(b) {
-                    Ok(g) => self.emit_spts(f, h, g, "SStore"),
+                    Ok(g) => self.emit_spts(f, h, g, rule::SSTORE),
                     Err(_) => self.defer(Candidate::DefGlobalize(f, h, b)),
                 }
             }
@@ -557,14 +585,18 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 };
                 match s.abs.try_merge(site, b) {
                     Ok(c) => {
-                        self.emit_call(i, q, c, "Virt");
+                        self.emit_call(i, q, c, rule::VIRT);
                         if let Some(&y) = ix.this_of_method.get(&q) {
                             match self.try_compose(b, c, limits) {
-                                Ok(Some(a)) => self.emit_pts(y, h, a, "Virt"),
+                                Ok(Some(a)) => self.emit_pts(y, h, a, rule::VIRT),
                                 Ok(None) => {}
-                                Err(()) => {
-                                    self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Virt"))
-                                }
+                                Err(()) => self.defer(Candidate::DefComposePts(
+                                    y,
+                                    h,
+                                    b,
+                                    c,
+                                    rule::VIRT as RuleId,
+                                )),
                             }
                         }
                     }
@@ -588,9 +620,9 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         self.collect_hload(g, f, query, &mut cand);
         for &(y, c) in cand.iter() {
             match self.try_compose(b, c, limits) {
-                Ok(Some(a)) => self.emit_pts(y, h, a, "Ind"),
+                Ok(Some(a)) => self.emit_pts(y, h, a, rule::IND),
                 Ok(None) => {}
-                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Ind")),
+                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, rule::IND as RuleId)),
             }
         }
         self.st.scratch_var = cand;
@@ -608,9 +640,9 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         self.collect_hpts(g, f, query, &mut cand);
         for &(h, b) in cand.iter() {
             match self.try_compose(b, c, limits) {
-                Ok(Some(a)) => self.emit_pts(y, h, a, "Ind"),
+                Ok(Some(a)) => self.emit_pts(y, h, a, rule::IND),
                 Ok(None) => {}
-                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Ind")),
+                Err(()) => self.defer(Candidate::DefComposePts(y, h, b, c, rule::IND as RuleId)),
             }
         }
         self.st.scratch_heap = cand;
@@ -628,7 +660,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 if let Some(ms) = s.reach_by_method.get(&p) {
                     for &m in ms.iter() {
                         match s.abs.try_load_global(b, m) {
-                            Ok(x) => self.emit_pts(z, h, x, "SLoad"),
+                            Ok(x) => self.emit_pts(z, h, x, rule::SLOAD),
                             Err(_) => self.defer(Candidate::DefLoadGlobal(z, h, b, m)),
                         }
                     }
@@ -644,7 +676,7 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         let ix = s.ix;
         let t = self.prof_start();
         let m = s.abs.target(c);
-        self.emit_reach(p, m, "Reach");
+        self.emit_reach(p, m, rule::REACH);
         self.prof_rule(t, rule::REACH);
         let t = self.prof_start();
         if let Some(actuals) = ix.actuals_by_inv.get(&i) {
@@ -659,10 +691,10 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
                 self.collect_pts(z, query, &mut cand);
                 for &(h, b) in cand.iter() {
                     match self.try_compose(b, c, limits) {
-                        Ok(Some(a)) => self.emit_pts(y, h, a, "Param"),
+                        Ok(Some(a)) => self.emit_pts(y, h, a, rule::PARAM),
                         Ok(None) => {}
                         Err(()) => {
-                            self.defer(Candidate::DefComposePts(y, h, b, c, limits, "Param"))
+                            self.defer(Candidate::DefComposePts(y, h, b, c, rule::PARAM as RuleId))
                         }
                     }
                 }
@@ -671,109 +703,77 @@ impl<'p, A: Abstraction> Worker<'_, 'p, A> {
         }
         self.prof_rule(t, rule::PARAM);
         let t = self.prof_start();
-        if let Some(ys) = ix.assign_return_by_inv.get(&i) {
-            if s.summary_mode() {
-                // Summary path — same rows, filter, and compose as the
-                // per-return-variable scan below (see the serial
-                // `process_call` for the parity argument).
-                let query = s.abs.dst_boundary(c);
-                let inv_c = s.abs.invert(c);
-                let limits = s.limits_flow();
-                let mut cand = mem::take(&mut self.st.scratch_heap);
+        if let (Some(ys), Some(returns)) = (
+            ix.assign_return_by_inv.get(&i),
+            ix.returns_by_method.get(&p),
+        ) {
+            let query = s.abs.dst_boundary(c);
+            // `c` is fixed for this delta, so its inverse is loop-invariant.
+            let inv_c = s.abs.invert(c);
+            let limits = s.limits_flow();
+            let mut cand = mem::take(&mut self.st.scratch_heap);
+            for &z in returns {
                 cand.clear();
-                self.collect_summary(p, query, &mut cand);
+                self.collect_pts(z, query, &mut cand);
                 for &(h, b) in cand.iter() {
                     let composed = match self.try_compose(b, inv_c, limits) {
                         Ok(Some(a)) => Some(a),
                         Ok(None) => continue,
                         Err(()) => None,
                     };
-                    if composed.is_some() {
-                        self.out.summaries_applied += 1;
-                    }
                     for &y in ys {
                         match composed {
-                            Some(a) => self.emit_pts(y, h, a, "Ret"),
-                            None => {
-                                self.defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret"))
-                            }
+                            Some(a) => self.emit_pts(y, h, a, rule::RET),
+                            None => self.defer(Candidate::DefComposePts(
+                                y,
+                                h,
+                                b,
+                                inv_c,
+                                rule::RET as RuleId,
+                            )),
                         }
                     }
                 }
-                self.st.scratch_heap = cand;
-            } else if let Some(returns) = ix.returns_by_method.get(&p) {
-                let query = s.abs.dst_boundary(c);
-                let inv_c = s.abs.invert(c);
-                let limits = s.limits_flow();
-                let mut cand = mem::take(&mut self.st.scratch_heap);
-                for &z in returns {
-                    cand.clear();
-                    self.collect_pts(z, query, &mut cand);
-                    for &(h, b) in cand.iter() {
-                        let composed = match self.try_compose(b, inv_c, limits) {
-                            Ok(Some(a)) => Some(a),
-                            Ok(None) => continue,
-                            Err(()) => None,
-                        };
-                        for &y in ys {
-                            match composed {
-                                Some(a) => self.emit_pts(y, h, a, "Ret"),
-                                None => self
-                                    .defer(Candidate::DefComposePts(y, h, b, inv_c, limits, "Ret")),
-                            }
-                        }
-                    }
-                }
-                self.st.scratch_heap = cand;
             }
+            self.st.scratch_heap = cand;
         }
         self.prof_rule(t, rule::RET);
     }
 }
 
 impl<'p, A: Abstraction> Solver<'p, A> {
-    /// The frontier-parallel engine (`threads >= 2`): runs the queues to
-    /// empty in rounds. Seeding (entry points or an incremental delta)
-    /// is the caller's job, so the same loop serves fresh solves and
-    /// resumed ones.
-    pub(super) fn fixpoint_parallel(&mut self, threads: usize) {
+    /// Runs the queues to empty in rounds with `threads` workers. Seeding
+    /// (entry points, an incremental delta, or over-delete marks) is the
+    /// caller's job, so the same loop serves fresh solves, extensions and
+    /// both DRed phases. With a retract sink installed the sink's
+    /// worklists are drained instead of the solver's.
+    pub(super) fn fixpoint(&mut self, threads: usize) {
+        self.stats.threads_used = threads;
         let mut states: Vec<WorkerState<A::X>> =
             (0..threads).map(|_| WorkerState::default()).collect();
-        let mut frontier: Vec<Delta<A::X>> = Vec::new();
+        // Worker 0's shard is the persistent memo: handed out here and
+        // folded back, with the merge phase's deferred composes, below.
+        states[0].memo = mem::take(&mut self.compose_memo);
 
         loop {
-            // Phase 1: drain the queues into the frontier, in a fixed
-            // relation order (each queue's order is insertion order, which
-            // the deterministic merge phase produced).
-            frontier.clear();
-            for (p, m) in self.q_reach.drain(..) {
-                frontier.push(Delta::Reach(p, m));
-            }
-            let subsumption = self.config.subsumption;
-            let dead = &self.dead_pts;
-            frontier.extend(self.q_pts.drain(..).filter_map(|(y, h, x)| {
-                if subsumption && dead.contains(&(y, h, x)) {
-                    None
-                } else {
-                    Some(Delta::Pts(y, h, x))
+            // Phase 1: take the queues as this round's frontier (the merge
+            // below refills fresh ones). Marked facts are always driven;
+            // live `pts` deltas retired by subsumption since they were
+            // queued are skipped.
+            let frontier = match self.retract.as_mut() {
+                Some(sink) => mem::take(&mut sink.queues),
+                None => {
+                    let mut frontier = mem::take(&mut self.queues);
+                    if self.config.subsumption {
+                        frontier.pts.retain(|t| !self.dead_pts.contains(t));
+                    }
+                    frontier
                 }
-            }));
-            for (i, q, x) in self.q_call.drain(..) {
-                frontier.push(Delta::Call(i, q, x));
-            }
-            for (g, f, h, x) in self.q_hpts.drain(..) {
-                frontier.push(Delta::Hpts(g, f, h, x));
-            }
-            for (g, f, y, x) in self.q_hload.drain(..) {
-                frontier.push(Delta::Hload(g, f, y, x));
-            }
-            for (f, h, x) in self.q_spts.drain(..) {
-                frontier.push(Delta::Spts(f, h, x));
-            }
-            if frontier.is_empty() {
+            };
+            let n = frontier.len();
+            if n == 0 {
                 break;
             }
-            let n = frontier.len();
             self.stats.par_rounds += 1;
             self.stats.par_frontier_peak = self.stats.par_frontier_peak.max(n);
             self.stats.events += n;
@@ -784,10 +784,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 .field("round", self.stats.par_rounds)
                 .field("frontier", n);
 
-            // Phase 2: evaluate chunks. A one-chunk frontier runs inline
-            // on the calling thread — through the same chunk driver and
-            // the same worker state striding would pick (worker 0 owns
-            // chunk 0), so the candidate stream is unaffected.
+            // Phase 2: evaluate chunks. With one worker, or a one-chunk
+            // frontier, every chunk runs inline on the calling thread —
+            // through the same `process_chunk` and the same worker state
+            // striding would pick (worker 0 owns chunk 0, and with one
+            // thread every chunk), so the candidate stream is unaffected.
             let eval_start = if self.config.profile {
                 Some(Instant::now())
             } else {
@@ -797,8 +798,12 @@ impl<'p, A: Abstraction> Solver<'p, A> {
             let n_chunks = n.div_ceil(chunk);
             let mut outs: Vec<Option<ChunkOut<A::X>>> = Vec::with_capacity(n_chunks);
             outs.resize_with(n_chunks, || None);
-            if n_chunks == 1 {
-                outs[0] = Some(process_chunk(&*self, &mut states[0], &frontier));
+            if threads == 1 || n_chunks == 1 {
+                for (ci, out) in outs.iter_mut().enumerate() {
+                    let lo = ci * chunk;
+                    let hi = (lo + chunk).min(n);
+                    *out = Some(process_chunk(&*self, &mut states[0], &frontier, lo, hi));
+                }
             } else {
                 let solver_ref = &*self;
                 let frontier_ref = &frontier;
@@ -813,7 +818,7 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                                 let hi = (lo + chunk).min(n);
                                 mine.push((
                                     ci,
-                                    process_chunk(solver_ref, st, &frontier_ref[lo..hi]),
+                                    process_chunk(solver_ref, st, frontier_ref, lo, hi),
                                 ));
                                 ci += threads;
                             }
@@ -828,7 +833,9 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 });
             }
 
-            // Phase 3: merge sequentially, in frontier order.
+            // Phase 3: merge sequentially, in frontier order. The frontier
+            // itself is no longer needed.
+            drop(frontier);
             let eval_ns = eval_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
             let merge_start = eval_start.map(|_| Instant::now());
             let mut merged = 0usize;
@@ -840,7 +847,6 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 self.stats.compose_memo_hits += out.memo_hits;
                 self.stats.compose_memo_misses += out.memo_misses;
                 self.stats.par_deferred += out.deferred;
-                self.stats.summaries_applied += out.summaries_applied;
                 self.stats.rule_time.merge(&out.rule_time);
                 merged += out.cands.len();
                 for cand in out.cands {
@@ -863,43 +869,46 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                 }
             }
         }
+        let mut memo = mem::take(&mut states[0].memo);
+        memo.extend(self.compose_memo.drain());
+        self.compose_memo = memo;
     }
 
     /// Applies one worker candidate through the ordinary insertion
     /// methods; `Def*` variants replay their interning operation first.
-    pub(super) fn apply_candidate(&mut self, cand: Candidate<A::X>) {
+    fn apply_candidate(&mut self, cand: Candidate<A::X>) {
         match cand {
-            Candidate::Pts(y, h, x, rule) => self.insert_pts(y, h, x, rule),
-            Candidate::Hpts(g, f, h, x, rule) => self.insert_hpts(g, f, h, x, rule),
-            Candidate::Hload(g, f, y, x, rule) => self.insert_hload(g, f, y, x, rule),
-            Candidate::Call(i, q, x, rule) => self.insert_call(i, q, x, rule),
-            Candidate::Spts(f, h, x, rule) => self.insert_spts(f, h, x, rule),
-            Candidate::Reach(p, m, rule) => self.insert_reach(p, m, rule),
+            Candidate::Pts(y, h, x, r) => self.insert_pts(y, h, x, r.into()),
+            Candidate::Hpts(g, f, h, x, r) => self.insert_hpts(g, f, h, x, r.into()),
+            Candidate::Hload(g, f, y, x, r) => self.insert_hload(g, f, y, x, r.into()),
+            Candidate::Call(i, q, x, r) => self.insert_call(i, q, x, r.into()),
+            Candidate::Spts(f, h, x, r) => self.insert_spts(f, h, x, r.into()),
+            Candidate::Reach(p, m, r) => self.insert_reach(p, m, r.into()),
             Candidate::DefRecord(y, h, m) => {
                 let x = self.abs.record(m);
-                self.insert_pts(y, h, x, "New");
+                self.insert_pts(y, h, x, rule::NEW);
             }
-            Candidate::DefComposePts(y, h, a, b, limits, rule) => {
-                if let Some(x) = self.compose(a, b, limits) {
-                    self.insert_pts(y, h, x, rule);
+            Candidate::DefComposePts(y, h, a, b, r) => {
+                if let Some(x) = self.compose(a, b, self.limits_flow()) {
+                    self.insert_pts(y, h, x, r.into());
                 }
             }
-            Candidate::DefComposeHpts(g, f, h, a, b, limits, rule) => {
-                if let Some(x) = self.compose(a, b, limits) {
-                    self.insert_hpts(g, f, h, x, rule);
+            Candidate::DefComposeHpts(g, f, h, a, b) => {
+                if let Some(x) = self.compose(a, b, self.limits_store()) {
+                    self.insert_hpts(g, f, h, x, rule::STORE);
                 }
             }
             Candidate::DefMergeS(i, q, m) => {
                 let c = self.abs.merge_s(CtxtElem::of_inv(i), m);
-                self.insert_call(i, q, c, "Static");
+                self.insert_call(i, q, c, rule::STATIC);
             }
             Candidate::DefLoadGlobal(z, h, b, m) => {
                 let x = self.abs.load_global(b, m);
-                self.insert_pts(z, h, x, "SLoad");
+                self.insert_pts(z, h, x, rule::SLOAD);
             }
             Candidate::DefGlobalize(f, h, b) => {
                 let g = self.abs.globalize(b);
-                self.insert_spts(f, h, g, "SStore");
+                self.insert_spts(f, h, g, rule::SSTORE);
             }
             Candidate::DefVirt(i, q, h, b) => {
                 let ix = self.ix;
@@ -910,11 +919,11 @@ impl<'p, A: Abstraction> Solver<'p, A> {
                     class: CtxtElem::of_type(class),
                 };
                 let c = self.abs.merge(site, b);
-                self.insert_call(i, q, c, "Virt");
+                self.insert_call(i, q, c, rule::VIRT);
                 if let Some(&y) = ix.this_of_method.get(&q) {
                     let limits = self.limits_flow();
                     if let Some(a) = self.compose(b, c, limits) {
-                        self.insert_pts(y, h, a, "Virt");
+                        self.insert_pts(y, h, a, rule::VIRT);
                     }
                 }
             }

@@ -71,26 +71,17 @@ fn profiling_is_result_neutral_across_thread_counts() {
                 let hist_total: u64 = profiled.stats.rule_time.buckets(rule).iter().sum();
                 assert_eq!(hist_total, blocks, "{what}/{rule}: histogram sums to count");
             }
-            if threads > 1 {
-                assert!(
-                    !profiled.stats.round_profiles.is_empty(),
-                    "{what}: parallel rounds itemized"
-                );
-                assert_eq!(
-                    profiled.stats.round_profiles.len(),
-                    profiled.stats.par_rounds.min(ctxform::MAX_ROUND_PROFILES),
-                    "{what}: one profile per round (capped)"
-                );
-                assert!(
-                    profiled.stats.phase_profile.merge_ns > 0,
-                    "{what}: merge phase timed"
-                );
-            } else {
-                assert!(
-                    profiled.stats.round_profiles.is_empty(),
-                    "{what}: legacy path has no rounds"
-                );
-            }
+            // Every thread count runs the round engine.
+            assert!(profiled.stats.par_rounds > 0, "{what}: at least one round");
+            assert_eq!(
+                profiled.stats.round_profiles.len(),
+                profiled.stats.par_rounds.min(ctxform::MAX_ROUND_PROFILES),
+                "{what}: one profile per round (capped)"
+            );
+            assert!(
+                profiled.stats.phase_profile.merge_ns > 0,
+                "{what}: merge phase timed"
+            );
             // Memory footprint is populated either way and covers the
             // big relations.
             assert!(

@@ -85,9 +85,10 @@ pub struct ServerConfig {
     /// Per-request deadline (queue wait included).
     pub deadline: Duration,
     /// Solver threads per analysis for requests that do not pick a count
-    /// explicitly: `0` = per-analysis auto, `1` = legacy single-threaded
-    /// loop, `n > 1` = the frontier-parallel engine. Results (and cache
-    /// entries) are identical for every value — this is purely latency.
+    /// explicitly: `0` = per-analysis auto, `1` = every round inline on
+    /// the worker thread, `n > 1` = rounds spread over `n` scoped threads.
+    /// Results (and cache entries) are identical for every value — this is
+    /// purely latency.
     pub solver_threads: usize,
     /// Slow-query threshold in milliseconds: requests that take at least
     /// this long are logged at `WARN` with their endpoint, latency, and
